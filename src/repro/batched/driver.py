@@ -51,7 +51,7 @@ class BatchedCrowdDriver:
                  precision: PrecisionPolicy = FULL,
                  batch: Optional[WalkerBatch] = None,
                  rngs: Optional[List[np.random.Generator]] = None,
-                 backend=None):
+                 backend=None, restored: bool = False):
         self.spec = spec
         # Kernel backend: a name ("numpy"/"jax"), a KernelBackend
         # instance, or None for REPRO_BACKEND-then-default resolution.
@@ -107,10 +107,14 @@ class BatchedCrowdDriver:
                                self._workspace, tau=self.tau,
                                drift_cap=self.DRIFT_CAP,
                                use_drift=self.use_drift)
+        # ``restored``: the injected batch already carries log Psi and
+        # E_L for its positions (a respawned or resumed crowd), so only
+        # the distance tables are built; G/L fill at the first measure.
         with self.backend.scope():
             for t in self.tables:
                 t.evaluate(self.batch)
-            self.batch.logpsi[...] = self._evaluate_log()
+            if not restored:
+                self.batch.logpsi[...] = self._evaluate_log()
 
     # -- wavefunction over components ---------------------------------------------
     def _evaluate_log(self) -> np.ndarray:
@@ -120,12 +124,6 @@ class BatchedCrowdDriver:
         for c in self.components:
             logpsi += c.evaluate_log(self.tables, self.G, self.L)
         return logpsi
-
-    def _evaluate_gl(self) -> None:
-        self.G[...] = 0.0
-        self.L[...] = 0.0
-        for c in self.components:
-            c.evaluate_gl(self.tables, self.G, self.L)
 
     def _grad(self, k: int) -> np.ndarray:
         g = np.zeros((self.nw, 3))
@@ -241,26 +239,24 @@ class BatchedCrowdDriver:
         return accepted_total
 
     # -- external-commit resync -----------------------------------------------------
-    def refresh_from_positions(self) -> np.ndarray:
-        """Resynchronize every derived structure (Rsoa, tables, log Psi,
-        E_L) from the canonical ``batch.R`` — required after an external
-        writer (the DMC branch commit of the process-parallel crowds)
-        rewrites positions behind the driver's back.  Estimators are not
-        touched.  Returns the refreshed per-walker local energies."""
+    def refresh_from_positions(self) -> None:
+        """Resynchronize Rsoa and the distance tables from the canonical
+        ``batch.R`` — required after an external writer (the DMC branch
+        commit of the process-parallel crowds) rewrites positions behind
+        the driver's back.  log Psi and E_L are not recomputed: the
+        writer copies them along with each walker's positions, as the
+        QMCPACK comb does."""
         with self.backend.scope():
             self.batch.sync_soa()
             for t in self.tables:
                 with PROFILER.timer(t.category):
                     t.evaluate(self.batch)
-            self.batch.logpsi[...] = self._evaluate_log()
-            el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
-            self.batch.local_energy[...] = el
-            return el
 
     # -- measurement ----------------------------------------------------------------
     def measure(self) -> np.ndarray:
-        """Refresh tables from scratch and evaluate E_L per walker —
-        the batched ``store_walker``."""
+        """Refresh tables from scratch and evaluate log Psi (into
+        ``batch.logpsi``) and E_L per walker — the batched
+        ``store_walker``.  Returns the local energies."""
         with self.backend.scope(), METRICS.scope("measure"):
             return self._measure()
 
@@ -270,7 +266,7 @@ class BatchedCrowdDriver:
                 t.evaluate(self.batch)
         if self.sanitizers is not None:
             self.sanitizers.check_state(self.batch, self.tables)
-        self._evaluate_gl()
+        self.batch.logpsi[...] = self._evaluate_log()
         el = self.ham.evaluate(self.batch, self.tables, self.G, self.L)
         self.batch.local_energy[...] = el
         comps = self.ham.last_components
@@ -301,9 +297,6 @@ class BatchedCrowdDriver:
         try:
             with METRICS.scope("BatchedVMC"):
                 for step in range(1, steps + 1):
-                    if self.precision.should_recompute(step):
-                        with self.backend.scope():
-                            self.batch.logpsi[...] = self._evaluate_log()
                     self.sweep()
                     el = self.measure()
                     self.batch.age += 1

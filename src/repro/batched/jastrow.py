@@ -176,16 +176,6 @@ class BatchedTwoBodyJastrow:
             u_old = self._rows_v(table.dist_rows(k), k)
         return exp_rows(-(u_new - u_old)), grad_new
 
-    def evaluate_gl(self, tables, G: np.ndarray, L: np.ndarray) -> None:
-        """Measurement-time grad/lap recomputed from the row blocks."""
-        with PROFILER.timer("J2"):
-            table = tables[self.table_index]
-            for i in range(self.n):
-                _, grad, lap = self._rows_vgl(table.dist_rows(i),
-                                              table.disp_rows(i), i)
-                G[:, i] += grad
-                L[:, i] += lap
-
     def ratios_vp(self, batch, tables, owners_w, owners_k,
                   positions) -> np.ndarray:
         """Ratio-only J2 over a crowd-wide virtual-particle slab.
@@ -331,15 +321,6 @@ class BatchedOneBodyJastrow:
         if u_old is None:
             u_old = self._rows_v(table.dist_rows(k))
         return exp_rows(-(u_new - u_old)), grad_new
-
-    def evaluate_gl(self, tables, G: np.ndarray, L: np.ndarray) -> None:
-        with PROFILER.timer("J1"):
-            table = tables[self.table_index]
-            for k in range(self.n):
-                _, g, l = self._rows_vgl(table.dist_rows(k),
-                                         table.disp_rows(k))
-                G[:, k] += g
-                L[:, k] += l
 
     def ratios_vp(self, batch, tables, owners_w, owners_k,
                   positions) -> np.ndarray:

@@ -13,7 +13,12 @@ Rotation contract: a :class:`~repro.hamiltonian.nlpp.QuadratureRotations`
 stream keys each walker's rotation on ``(walker_id, serial)``; the
 engine bumps ``serial`` once per evaluation, so the first measurement
 (step 1) matches the per-walker reference's step-1 evaluation, and the
-rotation a walker sees is independent of which crowd hosts it.
+rotation a walker sees is independent of which crowd hosts it.  Drivers
+evaluate once per generation: process crowds take serial 1 at set-up
+and ``g + 1`` in generation ``g``'s measure; the DMC comb, a respawn and
+a resume reuse stored E_L values instead of evaluating, so they spend no
+serial (``set_rotations(..., serial=g)`` re-keys a crowd spawned at
+generation ``g``).
 """
 
 # repro: hot
@@ -53,7 +58,8 @@ class BatchedNonLocalPP:
         #: hosting a subset of a larger population injects its global
         #: ids here so crowd membership cannot perturb the rotations.
         self.walker_ids = np.arange(self.nw, dtype=np.int64)
-        self._serial = 0
+        #: rotation serial of the most recent evaluation
+        self.serial = 0
 
     def radial(self, r):
         return self.v0 * np.exp(-np.square(np.asarray(r) / self.width))
@@ -68,12 +74,12 @@ class BatchedNonLocalPP:
             if ids.size != self.nw:
                 raise ValueError(f"need {self.nw} walker ids, got {ids.size}")
             self.walker_ids = ids
-        self._serial = int(serial)
+        self.serial = int(serial)
 
     def evaluate(self, batch, tables, wf_components) -> np.ndarray:
         """(W,) V_NL for the crowd; walker state is never mutated."""
         with PROFILER.timer("NLPP"):
-            self._serial += 1
+            self.serial += 1
             return self._evaluate_vp(batch, tables, wf_components)
 
     def _evaluate_vp(self, batch, tables, wf_components) -> np.ndarray:  # repro: hot
@@ -108,7 +114,7 @@ class BatchedNonLocalPP:
         dirs_rot = np.empty((self.nw, nq, 3))
         for w in np.unique(pw):
             rot = self.rotations.rotation(int(self.walker_ids[w]),
-                                          self._serial)
+                                          self.serial)
             dirs_rot[w] = self.dirs @ rot.T
         cosines = np.einsum("pc,pqc->pq", pair_units, dirs_rot[pw])
         pl = legendre(self.l, cosines)

@@ -105,10 +105,15 @@ class QuadratureRotations:
     prior draws cannot perturb it, which is what keeps parallel crowds'
     NLPP traces bitwise identical to the serial reference.
 
-    Serial contract: the per-walker reference path uses serial 0 for the
-    setup evaluation and serial ``s`` for step ``s``; the batched crowd
-    engine bumps its serial once per Hamiltonian evaluation so its first
-    measurement (step 1) also lands on serial 1.
+    Serial contract, one serial per generation: the per-walker reference
+    path uses serial 0 for the setup evaluation and serial ``s`` for
+    step ``s``; the batched driver bumps its serial once per Hamiltonian
+    evaluation so its first measurement (step 1) also lands on serial 1.
+    A process-crowd engine evaluates at set-up (serial 1) and once per
+    generation (generation ``g`` on serial ``g + 1``).  Branching,
+    crash-respawn and resume spend no serial: E_L and log Psi travel
+    with the comb's copies and the restored shared block, and an engine
+    spawned at generation ``g`` starts at serial ``g``.
     """
 
     def __init__(self, master_seed: int):

@@ -20,7 +20,9 @@ results are bitwise independent of the worker count.  DMC branching
 (stochastic-reconfiguration comb, fixed population) is applied by the
 parent directly to the shared block, which *is* the walker migration
 between crowds: a clone landing in another crowd's slot is nothing more
-than the parent rewriting that slot's slices.
+than the parent rewriting that slot's slices.  E_L and log Psi travel
+with the clone, so a crowd resyncs only its distance tables and
+evaluates the Hamiltonian once per generation.
 
 Determinism contract (tested in ``tests/parallel/test_crowds.py``):
 walker ``w`` owns RNG stream ``w`` of the master seed regardless of
@@ -35,7 +37,8 @@ of the shared block.  A dead or wedged worker is detected by liveness
 polling inside the collectives; the parent then terminates the pool,
 restores the checkpoint, respawns all crowds with
 ``start_generation = g`` (workers fast-forward their walkers' RNG
-streams by replaying the per-generation draw pattern) and re-issues
+streams by replaying the per-generation draw pattern and reuse the
+restored E_L and log Psi instead of re-evaluating them) and re-issues
 generation ``g`` — so the post-crash energy trace is bitwise equal to
 the crash-free one.  Incidents are counted in ``result.extra`` and the
 ``crowd_worker_respawns`` metrics counter.
@@ -174,27 +177,30 @@ class _CrowdEngine:
         batch = WalkerBatch.attach(
             views["R"], views["weight"], views["logpsi"],
             views["local_energy"], views["age"], dtype=precision)
-        self.driver = BatchedCrowdDriver(
+        # A respawned or resumed crowd finds log Psi and E_L of its
+        # walkers in the restored shared block and does not recompute
+        # them; only a fresh crowd evaluates the set-up values.
+        restored = start_generation > 1
+        self.driver = drv = BatchedCrowdDriver(
             spec, self.nw, 0, timestep, use_drift, precision,
-            batch=batch, rngs=rngs, backend=backend)
-        nlpp = getattr(self.driver.ham, "nlpp", None)
+            batch=batch, rngs=rngs, backend=backend, restored=restored)
+        nlpp = getattr(drv.ham, "nlpp", None)
         if nlpp is not None:
             # Quadrature-rotation contract: rotations are keyed on the
             # *global* walker id and the master seed, so crowd membership
-            # cannot perturb the NLPP trace.  The serial starts one below
-            # the spawn generation: the initial E_L evaluation below
-            # bumps it to start_generation, and generation g's measure
-            # lands on serial g+1 for crashed and uncrashed crowds alike.
+            # cannot perturb the NLPP trace.  One serial per generation:
+            # the set-up E_L below takes serial 1 and generation g's
+            # measure serial g+1, so a crowd spawned at generation g
+            # starts at serial g whether it is fresh, respawned or resumed.
             nlpp.set_rotations(
                 QuadratureRotations(master_seed),
                 walker_ids=np.arange(crowd, total_walkers, n_crowds),
-                serial=start_generation - 1)
-        # Initial E_L through the same path measure() uses, so a respawn
-        # reproduces the checkpointed values bitwise.
-        drv = self.driver
-        drv._evaluate_gl()
-        batch.local_energy[...] = drv.ham.evaluate(
-            batch, drv.tables, drv.G, drv.L)
+                serial=start_generation if restored else 0)
+        if not restored:
+            # Set-up E_L through the same path measure() uses; the
+            # driver constructor already filled log Psi and G/L.
+            batch.local_energy[...] = drv.ham.evaluate(
+                batch, drv.tables, drv.G, drv.L)
         self._needs_refresh = False
 
     @property
@@ -206,6 +212,12 @@ class _CrowdEngine:
             names += ("SpoNorm",)
         return names
 
+    @property
+    def nlpp_serial(self) -> Optional[int]:
+        """Rotation serial of the last NLPP evaluation (None without NLPP)."""
+        nlpp = getattr(self.driver.ham, "nlpp", None)
+        return nlpp.serial if nlpp is not None else None
+
     def run_generation(self, step: int,
                        e_trial: Optional[float] = None) -> int:  # repro: hot
         """Advance this crowd one generation; returns accepted moves."""
@@ -215,6 +227,7 @@ class _CrowdEngine:
             if self._needs_refresh:
                 # The parent's branch commit rewrote positions behind the
                 # driver's back; resync tables/Rsoa from shared memory.
+                # E_L and log Psi travel with the comb's copies.
                 drv.refresh_from_positions()
             el_old = batch.local_energy.copy()
             drv.sweep()
@@ -230,8 +243,6 @@ class _CrowdEngine:
                 batch.weight[aged] = np.minimum(batch.weight[aged], 0.5)
             self._needs_refresh = True
         else:
-            if drv.precision.should_recompute(step):
-                batch.logpsi[...] = drv._evaluate_log()
             drv.sweep()
             el_new = drv.measure()
             self._record(step, el_new)
@@ -408,6 +419,7 @@ def _worker_main(cfg: _WorkerConfig) -> None:  # repro: hot
             "nw": engine.nw,
             "n_moves": engine.driver.n_moves,
             "n_accept": engine.driver.n_accept,
+            "nlpp_serial": engine.nlpp_serial,
             "metrics": METRICS.snapshot() if METRICS.enabled else None,
             "comm": {"allreduce_count": comm.allreduce_count,
                      "p2p_messages": comm.p2p_messages,
@@ -508,6 +520,9 @@ class ParallelCrowdDriver:  # repro: cold
         self._trace_base = 0
         #: per-crowd segment trace paths of the latest run (or None)
         self.segment_paths: Optional[List[str]] = None
+        #: per-crowd NLPP rotation serial at the end of the latest run
+        #: (None entries without NLPP): one serial per generation
+        self.nlpp_serials: Optional[List[Optional[int]]] = None
         self._segment_meta: Optional[dict] = None
         self._segment_names: Optional[tuple] = None
         self._comm_totals = {"allreduce_count": 0, "p2p_messages": 0,
@@ -698,6 +713,8 @@ class ParallelCrowdDriver:  # repro: cold
             elapsed = time.perf_counter() - t0
             trace_data = self._trace.as_arrays()
             worker_stats = self._finalize() if shared else None
+            self.nlpp_serials = ([p["nlpp_serial"] for p in worker_stats]
+                                 if shared else [self._engine.nlpp_serial])
         finally:
             if armed:
                 RngStreamSanitizer.disarm()
@@ -956,8 +973,8 @@ class ParallelCrowdDriver:  # repro: cold
 
     def _finalize(self) -> List[dict]:
         """Stop the pool and collect the one-shot final payloads (crowd
-        counters + metrics snapshots), merging each worker's metrics tree
-        into the parent registry in crowd order."""
+        counters + metrics snapshots) in crowd order, merging each
+        worker's metrics tree into the parent registry."""
         payloads = None
         while payloads is None:
             try:
@@ -965,10 +982,11 @@ class ParallelCrowdDriver:  # repro: cold
                 self._sync(lambda t: self._comm.bcast(("stop",), timeout=t))
                 gathered = self._sync(lambda t: self._comm.allgather(
                     None, timeout=t))
-                payloads = [p for p in gathered if p is not None]
+                payloads = sorted((p for p in gathered if p is not None),
+                                  key=lambda d: d["crowd"])
             except _WorkerDown as exc:
                 self._handle_crash(exc)
-        for p in sorted(payloads, key=lambda d: d["crowd"]):
+        for p in payloads:
             if p.get("metrics") and METRICS.enabled:
                 METRICS.merge_snapshot(p["metrics"],
                                        label=f"crowd-{p['crowd']}")

@@ -141,8 +141,8 @@ SEED = 11
 
 
 def _parallel_run(root, workers, mode, steps=STEPS, abort_after=None,
-                  resume=None, segment_dir=None):
-    spec = JastrowSystemSpec(n=N_ELECTRONS, seed=7)
+                  resume=None, segment_dir=None, with_nlpp=False):
+    spec = JastrowSystemSpec(n=N_ELECTRONS, seed=7, with_nlpp=with_nlpp)
     trace = os.path.join(root, "trace.bin")
     ckpt_path = os.path.join(root, "run.ckpt")
     if resume is not None:
@@ -163,10 +163,11 @@ def _parallel_run(root, workers, mode, steps=STEPS, abort_after=None,
     return res, trace, ckpt_path
 
 
-def _abort_child(root, workers, mode):
+def _abort_child(root, workers, mode, with_nlpp=False):
     # Dies via os._exit(17) right after generation KILL_AFTER's branch:
     # no stream close, no driver close, no atexit — a hard kill.
-    _parallel_run(root, workers, mode, abort_after=KILL_AFTER)
+    _parallel_run(root, workers, mode, abort_after=KILL_AFTER,
+                  with_nlpp=with_nlpp)
 
 
 class _ReapShm:
@@ -184,34 +185,47 @@ class _ReapShm:
                 pass
 
 
+def _kill_restart_parity(tmp_path, workers, mode, with_nlpp=False):
+    a_root = str(tmp_path / "a")
+    b_root = str(tmp_path / "b")
+    os.makedirs(a_root)
+    os.makedirs(b_root)
+    with _ReapShm():
+        res_a, trace_a, _ = _parallel_run(a_root, workers, mode,
+                                          with_nlpp=with_nlpp)
+        # Hard-kill a run mid-flight in a forked child.
+        proc = mp.get_context("fork").Process(
+            target=_abort_child, args=(b_root, workers, mode, with_nlpp))
+        proc.start()
+        proc.join(timeout=300)
+        assert proc.exitcode == 17
+        ckpt = load_run_checkpoint(os.path.join(b_root, "run.ckpt"))
+        assert ckpt.kind == "parallel"
+        assert ckpt.step == CKPT_EVERY
+        res_b, trace_b, _ = _parallel_run(
+            b_root, workers, mode, steps=STEPS - ckpt.step, resume=ckpt,
+            with_nlpp=with_nlpp)
+    assert _read(trace_a) == _read(trace_b)
+    est_a = res_a.online.estimate("LocalEnergy")
+    est_b = res_b.online.estimate("LocalEnergy")
+    assert est_b == est_a  # error bars exact to the last bit
+    assert np.array_equal(np.asarray(res_b.energies),
+                          np.asarray(res_a.energies[ckpt.step:]))
+
+
 class TestParallelKillRestart:
     @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("mode", ["vmc", "dmc"])
     def test_restart_trace_bitwise_and_error_bars_exact(self, mode, workers,
                                                         tmp_path):
-        a_root = str(tmp_path / "a")
-        b_root = str(tmp_path / "b")
-        os.makedirs(a_root)
-        os.makedirs(b_root)
-        with _ReapShm():
-            res_a, trace_a, _ = _parallel_run(a_root, workers, mode)
-            # Hard-kill a run mid-flight in a forked child.
-            proc = mp.get_context("fork").Process(
-                target=_abort_child, args=(b_root, workers, mode))
-            proc.start()
-            proc.join(timeout=300)
-            assert proc.exitcode == 17
-            ckpt = load_run_checkpoint(os.path.join(b_root, "run.ckpt"))
-            assert ckpt.kind == "parallel"
-            assert ckpt.step == CKPT_EVERY
-            res_b, trace_b, _ = _parallel_run(
-                b_root, workers, mode, steps=STEPS - ckpt.step, resume=ckpt)
-        assert _read(trace_a) == _read(trace_b)
-        est_a = res_a.online.estimate("LocalEnergy")
-        est_b = res_b.online.estimate("LocalEnergy")
-        assert est_b == est_a  # error bars exact to the last bit
-        assert np.array_equal(np.asarray(res_b.energies),
-                              np.asarray(res_a.energies[ckpt.step:]))
+        _kill_restart_parity(tmp_path, workers, mode)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_dmc_nlpp_restart_trace_bitwise(self, workers, tmp_path):
+        # The with_nlpp=True leg of the DMC case above: the resumed
+        # crowds reuse the checkpointed E_L and log Psi, so the NLPP
+        # rotation serials line up with the uninterrupted run's.
+        _kill_restart_parity(tmp_path, workers, "dmc", with_nlpp=True)
 
     def test_resume_meta_mismatch_rejected(self, tmp_path):
         root = str(tmp_path)

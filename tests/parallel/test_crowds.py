@@ -8,7 +8,10 @@ The load-bearing claims, from the module's determinism contract:
   *and* after an injected worker death;
 * a killed worker is detected and respawned, and the post-crash trace
   is bitwise equal to the crash-free one;
-* each worker's metrics tree is merged into the parent registry.
+* each worker's metrics tree is merged into the parent registry;
+* a DMC generation evaluates E_L once: branched walkers carry E_L and
+  log Psi, so the NLPP rotation serial advances once per generation and
+  DMC+NLPP traces survive a crash-respawn bitwise.
 
 Workloads are deliberately tiny (n=8 electrons, 6 walkers, 3 steps):
 these are correctness tests, so oversubscribing a small host with more
@@ -21,7 +24,9 @@ import glob
 import numpy as np
 import pytest
 
+from repro.batched.driver import BatchedCrowdDriver
 from repro.batched.system import JastrowSystemSpec
+from repro.batched.walkerbatch import WalkerBatch
 from repro.lint.sanitizers import ShmRaceError
 from repro.metrics.registry import METRICS
 from repro.parallel.crowds import ParallelCrowdDriver
@@ -60,6 +65,16 @@ def serial_vmc(spec):
 @pytest.fixture(scope="module")
 def serial_dmc(spec):
     return _run(spec, 0, "dmc")[1]
+
+
+@pytest.fixture(scope="module")
+def nlpp_spec():
+    return JastrowSystemSpec(n=N, seed=7, with_nlpp=True)
+
+
+@pytest.fixture(scope="module")
+def serial_dmc_nlpp(nlpp_spec):
+    return _run(nlpp_spec, 0, "dmc")
 
 
 def _assert_same_trace(ref, res, mode):
@@ -230,3 +245,66 @@ class TestRuntimeSanitizers:
         assert not np.array_equal(res.estimators.series("LocalEnergy"),
                                   serial_vmc.estimators.series("LocalEnergy"))
         assert res.energies == serial_vmc.energies  # live state untouched
+
+
+class TestOneEvaluationPerGeneration:
+    """A DMC generation evaluates the Hamiltonian once, in ``measure()``:
+    the comb copies E_L and log Psi with each pick, crowds resync only
+    their distance tables, and respawned crowds reuse the restored
+    values.  Pinned as rotation-serial counts and bit-equalities."""
+
+    def test_nlpp_crash_respawn_is_bitwise_identical(self, nlpp_spec,
+                                                     serial_dmc_nlpp):
+        drv, res = _run(nlpp_spec, 2, "dmc", crash_plan={1: 2},
+                        liveness_poll=0.05)
+        assert drv.respawns == 1
+        _assert_same_trace(serial_dmc_nlpp[1], res, "dmc")
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_nlpp_serial_per_generation(self, nlpp_spec,
+                                            serial_dmc_nlpp, workers):
+        # Set-up takes serial 1, generation g's measure serial g + 1.
+        drv, res = (serial_dmc_nlpp if workers == 0
+                    else _run(nlpp_spec, workers, "dmc"))
+        assert drv.nlpp_serials == [STEPS + 1] * max(workers, 1)
+        _assert_same_trace(serial_dmc_nlpp[1], res, "dmc")
+
+    def test_no_nlpp_serials_without_nlpp(self, spec):
+        drv, _ = _run(spec, 0, "dmc")
+        assert drv.nlpp_serials == [None]
+
+    def test_measure_writes_from_scratch_logpsi(self, spec):
+        drv = BatchedCrowdDriver(spec, WALKERS, SEED, timestep=0.3)
+        before = drv.batch.logpsi.copy()
+        drv.sweep()
+        drv.measure()
+        logpsi = drv.batch.logpsi.copy()
+        assert not np.array_equal(logpsi, before)  # the sweep moved
+        np.testing.assert_array_equal(logpsi, drv._evaluate_log())
+
+    def test_branched_el_old_equals_from_scratch(self, spec, serial_dmc,
+                                                 monkeypatch):
+        # Without NLPP E_L is a pure function of the positions, so the
+        # comb's copied value must be the from-scratch one bit for bit:
+        # the post-branch recompute this replaces was redundant.
+        seen = []
+        refresh = BatchedCrowdDriver.refresh_from_positions
+
+        def spy(self):
+            refresh(self)
+            seen.append((self.batch.R.copy(),
+                         self.batch.local_energy.copy(),
+                         self.batch.logpsi.copy()))
+
+        monkeypatch.setattr(BatchedCrowdDriver, "refresh_from_positions",
+                            spy)
+        _, res = _run(spec, 0, "dmc")
+        _assert_same_trace(serial_dmc, res, "dmc")
+        assert len(seen) == STEPS - 1  # once per post-branch generation
+        for R, el_old, logpsi in seen:
+            fresh = BatchedCrowdDriver(
+                spec, WALKERS, SEED, batch=WalkerBatch.from_positions(R))
+            el = fresh.ham.evaluate(fresh.batch, fresh.tables, fresh.G,
+                                    fresh.L)
+            np.testing.assert_array_equal(el_old, el)
+            np.testing.assert_array_equal(logpsi, fresh.batch.logpsi)
